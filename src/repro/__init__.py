@@ -42,6 +42,7 @@ from .core import (
     zeros,
 )
 from .backends import available_backends, register_backend
+from .core.preferences import config
 from .core.exceptions import (
     CheckpointError,
     DeviceError,
@@ -145,6 +146,7 @@ __all__ = [
     "cache_info",
     "clear_cache",
     "cluster_stats",
+    "config",
     "current_context",
     "executor_mode",
     "global_fault_stats",

@@ -105,6 +105,7 @@ from ..core.exceptions import (
 )
 from ..core.launch import cpu_chunks
 from ..core.plan import LaunchPlan, LaunchSchedule
+from ..core.preferences import KNOBS
 from ..ir.vectorizer import IndexDomain
 
 __all__ = [
@@ -116,31 +117,15 @@ __all__ = [
     "default_num_workers",
 ]
 
-_ENV_WORKERS = "PYACC_CLUSTER_WORKERS"
-_ENV_START = "PYACC_CLUSTER_START"
-
 #: Spawn handshake deadline (fork + import + pong), seconds.
 _SPAWN_TIMEOUT = 30.0
 #: Per-launch collection deadline when the policy sets no watchdog.
 _SHARD_TIMEOUT = 60.0
 
-
-def default_num_workers() -> int:
-    """Worker count: ``PYACC_CLUSTER_WORKERS`` or a small multiple of the
-    machine (at least 2 — a one-worker cluster has nothing to shard,
-    and oversubscription only costs scheduling, not correctness)."""
-    env = os.environ.get(_ENV_WORKERS)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_WORKERS} must be an integer, got {env!r}"
-            ) from None
-        if n <= 0:
-            raise ValueError(f"{_ENV_WORKERS} must be positive, got {n}")
-        return n
-    return max(2, min(8, os.cpu_count() or 1))
+#: Worker count: ``PYACC_CLUSTER_WORKERS`` or a small multiple of the
+#: machine (at least 2 — a one-worker cluster has nothing to shard, and
+#: oversubscription only costs scheduling, not correctness).
+default_num_workers = KNOBS["cluster_workers"].get
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +409,7 @@ class ClusterSupervisor:
     ):
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
-        method = start_method or os.environ.get(_ENV_START)
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
+        method = start_method or KNOBS["cluster_start"].get()
         self._mp = mp.get_context(method)
         self.start_method = method
         self.n_workers = n_workers

@@ -23,9 +23,9 @@ Reductions fold per-chunk partials with the requested operation; addition
 of float64 partials is associative-enough for the paper's tolerance and is
 exactly what ``Threads.@threads`` + per-thread accumulators does.
 
-Worker count comes from ``PYACC_NUM_THREADS`` (default: ``os.cpu_count``),
-mirroring ``JULIA_NUM_THREADS``.  Domains smaller than
-``min_parallel_size`` run inline — forking threads for a 1000-element
+Worker count comes from ``PYACC_NUM_THREADS`` (default: the CPUs in the
+process's affinity mask), mirroring ``JULIA_NUM_THREADS``.  Domains smaller
+than ``min_parallel_size`` run inline — forking threads for a 1000-element
 AXPY only measures pool overhead, on this machine and in the paper alike.
 
 Modeled time: the backend carries the Rome CPU profile by default so the
@@ -35,7 +35,6 @@ as the (simulated) GPUs; wall-clock time is still the real execution.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
@@ -45,28 +44,14 @@ from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import cpu_chunks
 from ..core.plan import LaunchPlan, LaunchSchedule
+from ..core.preferences import KNOBS
 from ..ir.vectorizer import IndexDomain
 from ..perfmodel import PerfModel, get_overhead, get_profile
 
 __all__ = ["ThreadsBackend", "default_num_threads"]
 
-_ENV_THREADS = "PYACC_NUM_THREADS"
-
-
-def default_num_threads() -> int:
-    """Worker count: ``PYACC_NUM_THREADS`` or the machine's CPU count."""
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_THREADS} must be an integer, got {env!r}"
-            ) from None
-        if n <= 0:
-            raise ValueError(f"{_ENV_THREADS} must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1
+#: Worker count: ``PYACC_NUM_THREADS`` or the CPUs in the affinity mask.
+default_num_threads = KNOBS["num_threads"].get
 
 
 class ThreadsBackend(Backend):

@@ -44,8 +44,9 @@ class UnknownBackendError(BackendError):
         )
 
 
-class PreferencesError(PyACCError):
-    """The preferences file is malformed or unwritable."""
+class PreferencesError(PyACCError, ValueError):
+    """A setting has a bad value (env var, preferences key or process
+    override), or the preferences file is malformed or unwritable."""
 
 
 class TraceError(PyACCError):

@@ -31,14 +31,8 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from ..core.exceptions import GraphError, PreferencesError
-from ..core.preferences import (
-    GRAPH_MODES,
-    PASS_NAMES,
-    PASSES_PRESETS,
-    resolve_graph_mode,
-    resolve_passes_mode,
-)
+from ..core.exceptions import GraphError
+from ..core.preferences import KNOBS, PASS_NAMES
 from .capture import (
     GraphCapture,
     GraphNode,
@@ -68,42 +62,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Mode resolution (the PYACC_GRAPH opt-out), mirroring executor_mode
+# Graph and pass-pipeline modes (the PYACC_GRAPH / PYACC_PASSES opt-outs)
 # ---------------------------------------------------------------------------
 
-_mode_override: Optional[str] = None
-_mode_resolved: Optional[str] = None
+#: The active launch-graph mode, ``on`` or ``off``: process override, else
+#: env > prefs > ``on``, resolved once — every GraphRegion run consults it.
+graph_mode = KNOBS["graph"].get
 
-
-def graph_mode() -> str:
-    """The active launch-graph mode: ``on`` or ``off``.
-
-    Resolved once from ``PYACC_GRAPH`` / the preferences file (see
-    :func:`repro.core.preferences.resolve_graph_mode`) and cached —
-    every :class:`GraphRegion` run consults this, so resolution must
-    not touch the filesystem per iteration.
-    """
-    global _mode_resolved
-    if _mode_override is not None:
-        return _mode_override
-    if _mode_resolved is None:
-        _mode_resolved = resolve_graph_mode()
-    return _mode_resolved
-
-
-def set_graph_mode(mode: Optional[str]) -> None:
-    """Override the graph mode process-wide (tests / differential runs).
-
-    ``None`` drops the override and the cached resolution so the next
-    check re-reads ``PYACC_GRAPH``/preferences.
-    """
-    global _mode_override, _mode_resolved
-    if mode is not None and mode not in GRAPH_MODES:
-        raise PreferencesError(
-            f"graph mode must be one of {GRAPH_MODES}, got {mode!r}"
-        )
-    _mode_override = mode
-    _mode_resolved = None
+#: Override the graph mode process-wide (``None`` re-reads env/prefs);
+#: returns the previous override.
+set_graph_mode = KNOBS["graph"].set
 
 
 def graphs_enabled() -> bool:
@@ -111,47 +79,14 @@ def graphs_enabled() -> bool:
     return graph_mode() == "on"
 
 
-# ---------------------------------------------------------------------------
-# Pass-pipeline mode (the PYACC_PASSES opt-out), same shape as graph_mode
-# ---------------------------------------------------------------------------
+#: The active instantiate-time pass pipeline: ``all`` | ``none`` |
+#: ``peephole`` | a comma list of :data:`~repro.core.preferences.PASS_NAMES`.
+passes_mode = KNOBS["passes"].get
 
-_passes_override: Optional[str] = None
-_passes_resolved: Optional[str] = None
-
-
-def passes_mode() -> str:
-    """The active instantiate-time pass-pipeline mode.
-
-    ``all`` | ``none`` | ``peephole`` | a comma list of pass names
-    (see :data:`repro.core.preferences.PASS_NAMES`).  Resolved once from
-    ``PYACC_PASSES`` / the preferences ``passes`` key and cached.
-    """
-    global _passes_resolved
-    if _passes_override is not None:
-        return _passes_override
-    if _passes_resolved is None:
-        _passes_resolved = resolve_passes_mode()
-    return _passes_resolved
-
-
-def set_passes_mode(mode: Optional[str]) -> None:
-    """Override the pass-pipeline mode process-wide (tests / bench).
-
-    ``None`` drops the override so the next check re-reads
-    ``PYACC_PASSES``/preferences.  Takes effect at the next
-    ``instantiate()`` — already-instantiated graphs keep their pipeline.
-    """
-    global _passes_override, _passes_resolved
-    if mode is not None and mode not in PASSES_PRESETS:
-        parts = tuple(p.strip() for p in mode.split(",") if p.strip())
-        if not parts or any(p not in PASS_NAMES for p in parts):
-            raise PreferencesError(
-                f"passes mode must be one of {PASSES_PRESETS} or a "
-                f"comma-separated subset of {PASS_NAMES}, got {mode!r}"
-            )
-        mode = ",".join(parts)
-    _passes_override = mode
-    _passes_resolved = None
+#: Override the pass pipeline process-wide (``None`` re-reads env/prefs);
+#: returns the previous override.  Takes effect at the next
+#: ``instantiate()`` — already-instantiated graphs keep their pipeline.
+set_passes_mode = KNOBS["passes"].set
 
 
 def enabled_passes(mode: Optional[str] = None) -> tuple:

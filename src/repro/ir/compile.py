@@ -35,7 +35,7 @@ from ..core.exceptions import (
     TraceError,
     TraceFallback,
 )
-from ..core.preferences import EXECUTOR_MODES, resolve_executor_mode
+from ..core.preferences import EXECUTOR_MODES, KNOBS
 from . import compilecache
 from . import nodes as N
 from .arena import ScratchArena
@@ -353,42 +353,15 @@ def _analyze_or_placeholder(trace: Optional[N.Trace]) -> TraceStats:
 # Executor selection (the PYACC_EXECUTOR ablation axis)
 # ---------------------------------------------------------------------------
 
-_executor_override: Optional[str] = None
-_executor_resolved: Optional[str] = None
+#: The active executor strategy (``native``/``codegen``/``vector``/
+#: ``interpreter``): process override, else env > prefs > ``codegen``,
+#: resolved once — compile_kernel consults it on every call.
+executor_mode = KNOBS["executor"].get
 
-
-def executor_mode() -> str:
-    """The active executor strategy:
-    ``native``/``codegen``/``vector``/``interpreter``.
-
-    Resolved once from ``PYACC_EXECUTOR`` / the preferences file (see
-    :func:`repro.core.preferences.resolve_executor_mode`) and cached —
-    compile_kernel consults this on every call, so the resolution must
-    not touch the filesystem per launch.
-    """
-    global _executor_resolved
-    if _executor_override is not None:
-        return _executor_override
-    if _executor_resolved is None:
-        _executor_resolved = resolve_executor_mode()
-    return _executor_resolved
-
-
-def set_executor_mode(mode: Optional[str]) -> None:
-    """Override the executor strategy process-wide (ablation/tests).
-
-    ``None`` drops the override *and* the cached resolution, so the next
-    compile re-reads ``PYACC_EXECUTOR``/preferences.  Note the kernel
-    cache keys on the executor, so switching recompiles rather than
-    reusing kernels built for another strategy.
-    """
-    global _executor_override, _executor_resolved
-    if mode is not None and mode not in EXECUTOR_MODES:
-        raise PreferencesError(
-            f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}"
-        )
-    _executor_override = mode
-    _executor_resolved = None
+#: Override the executor process-wide (``None`` re-reads env/prefs) and
+#: return the previous override.  The kernel cache keys on the executor,
+#: so switching recompiles rather than reusing another strategy's kernels.
+set_executor_mode = KNOBS["executor"].set
 
 
 def compile_kernel(

@@ -65,6 +65,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.preferences import KNOBS
 from . import diskcache
 
 __all__ = [
@@ -94,12 +95,10 @@ __all__ = [
     "promote_spools",
 ]
 
-CACHE_ENV = "PYACC_COMPILE_CACHE"
+CACHE_ENV = KNOBS["compile_cache"].env
 
 #: Payload format version — bump on any change to the entry layout.
 FORMAT = 1
-
-_OFF = {"off", "0", "none", "disabled"}
 
 _SCALARS = (bool, int, float, complex, str, bytes, type(None))
 
@@ -142,14 +141,8 @@ _CODE_FP: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 # ---------------------------------------------------------------------------
 
 
-def cache_dir() -> Optional[Path]:
-    """Entry directory, or ``None`` when the persistent tier is off."""
-    env = os.environ.get(CACHE_ENV)
-    if env is not None:
-        if env.strip().lower() in _OFF or not env.strip():
-            return None
-        return Path(env)
-    return Path.home() / ".cache" / "pyacc" / "compile"
+#: Entry directory, or ``None`` when the persistent tier is off.
+cache_dir = KNOBS["compile_cache"].get
 
 
 def enabled() -> bool:

@@ -4,7 +4,7 @@ The native rung (:mod:`repro.ir.cgen`) lowers a verified trace to one C
 translation unit.  This module owns everything after that point:
 
 * resolving the system C compiler (``PYACC_CC``, default ``cc``; the
-  resolution is memoized per environment value so a missing compiler is
+  resolution is memoized per value so a missing compiler is
   probed exactly once per process),
 * a **content-addressed on-disk artifact cache** keyed by
   ``sha256(source ‖ compiler id)`` — the C source already embeds the
@@ -32,13 +32,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
 import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
 
+from ..core.preferences import KNOBS
 from . import diskcache
 
 __all__ = [
@@ -53,8 +52,8 @@ __all__ = [
     "reset_state",
 ]
 
-CC_ENV = "PYACC_CC"
-CACHE_ENV = "PYACC_NATIVE_CACHE"
+CC_ENV = KNOBS["cc"].env
+CACHE_ENV = KNOBS["native_cache"].env
 
 #: Flags chosen for bit-exactness, not speed records: ``-ffp-contract=off``
 #: forbids FMA contraction (NumPy's ufunc loops don't fuse), ``-fwrapv``
@@ -82,9 +81,6 @@ _DECLINED: dict[str, int] = {}
 #: separate from the on-disk artifacts so tests can drop only the memory
 #: map and assert the second compile is a pure ``disk_hits`` load.
 _MEM: dict[str, ctypes.CDLL] = {}
-
-#: Memoized compiler resolution per PYACC_CC value (None = unset).
-_CC_RESOLVED: dict[Optional[str], Optional[str]] = {}
 
 
 def _bump(key: str, n: int = 1) -> None:
@@ -120,7 +116,7 @@ def reset_state(*, drop_memory: bool = True, drop_counters: bool = True) -> None
     with _LOCK:
         if drop_memory:
             _MEM.clear()
-        _CC_RESOLVED.clear()
+        KNOBS["cc"].parse.cache_clear()
         if drop_counters:
             for k in _STATS:
                 _STATS[k] = 0
@@ -132,32 +128,12 @@ def reset_state(*, drop_memory: bool = True, drop_counters: bool = True) -> None
 # ---------------------------------------------------------------------------
 
 
-def resolve_cc() -> Optional[str]:
-    """Absolute path of the C compiler, or ``None`` when unavailable.
+#: Absolute path of the C compiler (``PYACC_CC``, default ``cc``), or
+#: ``None`` when unavailable; the ``which`` probe is memoized per value.
+resolve_cc = KNOBS["cc"].get
 
-    ``PYACC_CC`` overrides the default ``cc``; the lookup result is
-    memoized per env value, so a compiler-less host pays one ``which``
-    probe per process, not one per kernel.
-    """
-    env = os.environ.get(CC_ENV)
-    with _LOCK:
-        if env in _CC_RESOLVED:
-            return _CC_RESOLVED[env]
-    cand = env or "cc"
-    path = shutil.which(cand)
-    if path is None and os.path.sep in cand and os.access(cand, os.X_OK):
-        path = cand  # explicit path not on PATH
-    with _LOCK:
-        _CC_RESOLVED[env] = path
-    return path
-
-
-def cache_dir() -> Path:
-    """Artifact directory (``PYACC_NATIVE_CACHE`` or the user cache)."""
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "pyacc" / "native"
+#: Artifact directory (``PYACC_NATIVE_CACHE`` or the user cache).
+cache_dir = KNOBS["native_cache"].get
 
 
 def _compiler_id(cc: str) -> str:

@@ -29,10 +29,8 @@ from repro.apps.lbm3d import LBM3D
 from repro.core.context import current_context
 from repro.core.exceptions import (
     KernelVerificationError,
-    PreferencesError,
     TranslationValidationError,
 )
-from repro.core.preferences import resolve_validate_mode
 from repro.graph import graph_stats, reset_graph_stats
 from repro.ir.compile import cache_info, clear_cache
 from repro.ir.diagnostics import (
@@ -567,13 +565,6 @@ class TestCountersAndModes:
         assert info["verify"]["kernels_verified"] >= 1
         assert info["verify"]["by_rule"].get("V101", 0) >= 1
         assert "validate" in info["graph"]
-
-    def test_validate_mode_env_override(self, monkeypatch):
-        monkeypatch.setenv("PYACC_VALIDATE", "error")
-        assert resolve_validate_mode() == "error"
-        monkeypatch.setenv("PYACC_VALIDATE", "bogus")
-        with pytest.raises(PreferencesError):
-            resolve_validate_mode()
 
     def test_set_validate_mode_rejects_unknown(self):
         with pytest.raises(ValueError):
