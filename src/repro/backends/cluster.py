@@ -97,6 +97,7 @@ from multiprocessing import shared_memory as shm_mod
 
 import numpy as np
 
+from ..core.api import plan_access_ids
 from ..core.backend import Backend
 from ..core.exceptions import (
     KernelExecutionError,
@@ -964,14 +965,15 @@ class ClusterBackend(Backend):
             for b in nds[i + 1:]:
                 if a is not b and np.may_share_memory(a, b):
                     return None  # aliased distinct views: stage would split them
-        try:
-            write_ids = set(plan.written_ids or ())
-            if not write_ids:
-                from ..core.api import plan_access_ids
-
-                write_ids = set(plan_access_ids(plan)[0])
-        except Exception:
-            write_ids = {id(a) for a in nds}  # conservative: commit all
+        # ``()`` is a computed answer (every reduce writes nothing);
+        # only ``None`` means the ids were never derived.
+        written = plan.written_ids
+        if written is None:
+            try:
+                written = plan_access_ids(plan)[0]
+            except (IndexError, TypeError):  # args do not fit the trace
+                written = [id(a) for a in nds]  # conservative: commit all
+        write_ids = set(written)
         descs = []
         writeback = []
         staged_seen = set()

@@ -35,11 +35,13 @@ as the (simulated) GPUs; wall-clock time is still the real execution.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 import numpy as np
 
+from .. import faults
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import cpu_chunks
@@ -128,7 +130,7 @@ class ThreadsBackend(Backend):
         if plan.schedule_pin is not None:
             return plan.schedule_pin
         dims = plan.dims
-        lanes = int(np.prod(dims))
+        lanes = math.prod(dims)
         if (
             self.n_threads == 1
             or lanes < self.min_parallel_size
@@ -138,11 +140,9 @@ class ThreadsBackend(Backend):
         return LaunchSchedule(domains=tuple(self._domains(dims)), inline=False)
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from .. import faults as _faults
-
         self.accounting.n_kernel_launches += 1
         kernel, args, op = plan.kernel, plan.resolved_args, plan.op
-        lanes = int(np.prod(plan.dims))
+        lanes = math.prod(plan.dims)
         cost = (
             self.model.reduce_cost(kernel.stats, lanes, plan.ndim)
             if plan.is_reduce
@@ -150,7 +150,7 @@ class ThreadsBackend(Backend):
         )
         self.accounting.sim_time += cost.total
         arena = plan.arena
-        fplan = _faults.active_plan()
+        fplan = faults.active_plan()
         if plan.schedule.inline:
             (domain,) = plan.schedule.domains
             if fplan is None:  # fast path: injection off, no retry wrapper
@@ -158,7 +158,7 @@ class ThreadsBackend(Backend):
                     return kernel.run_reduce(domain, args, op, arena)
                 kernel.run_for(domain, args, arena)
                 return None
-            policy = plan.policy or _faults.DEFAULT_POLICY
+            policy = plan.policy or faults.DEFAULT_POLICY
 
             def body():
                 # Probe *before* the kernel runs: a retried chunk never
@@ -169,12 +169,12 @@ class ThreadsBackend(Backend):
                 kernel.run_for(domain, args, arena)
                 return None
 
-            return _faults.retry_transients(
+            return faults.retry_transients(
                 body, policy=policy, site="threads.chunk", plan=plan
             )
         pool = self._ensure_pool()
         domains = plan.schedule.domains
-        policy = plan.policy or _faults.DEFAULT_POLICY
+        policy = plan.policy or faults.DEFAULT_POLICY
         # Fault decisions for pool chunks use ordinals reserved here in
         # the submitting thread: worker scheduling order is
         # nondeterministic, the schedule must not be.  (The plan is also
@@ -192,7 +192,7 @@ class ThreadsBackend(Backend):
 
             if fplan is None:
                 return body()
-            return _faults.retry_transients(
+            return faults.retry_transients(
                 body, policy=policy, site="threads.chunk", plan=plan
             )
 
@@ -212,8 +212,8 @@ class ThreadsBackend(Backend):
                 # One worker's lane is gone for good: run its chunk in the
                 # calling thread (the serial rung of the ladder, scoped to
                 # this chunk) so the launch still completes synchronously.
-                _faults.record_event(
-                    _faults.FaultEvent(
+                faults.record_event(
+                    faults.FaultEvent(
                         site="threads.chunk",
                         kind="permanent",
                         action="failover",

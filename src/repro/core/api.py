@@ -31,6 +31,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
+from .. import faults
 from ..ir import writes
 from ..ir.compile import compile_kernel
 from ..ir.verify import active_verify_mode, verify_launch
@@ -156,40 +157,31 @@ def _schedule(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
 def plan_access_ids(plan: LaunchPlan) -> tuple:
     """``(written_ids, read_ids)`` storage-id tuples for a staged plan.
 
-    Traced kernels report exactly the arrays their stores/loads touch;
-    opaque (interpreter-tier) kernels conservatively count every resolved
-    ndarray on both sides.  Also used by :mod:`repro.ir.program` to build
-    the dataflow graph's def-use edges.
+    Traced kernels report exactly the arrays their stores/loads touch.
+    The argument positions come from the trace, walked once per trace
+    (:meth:`~repro.ir.nodes.Trace.access_positions`); per launch they are
+    only mapped to ``id()`` of the resolved arguments, deduplicated so an
+    array passed at two positions counts once.  Opaque
+    (interpreter-tier) kernels conservatively count every resolved
+    ndarray on both sides.
     """
     kernel = plan.kernel
     trace = kernel.trace if kernel is not None else None
+    args = plan.resolved_args
     if trace is None:
-        every = tuple(
-            id(a) for a in plan.resolved_args if isinstance(a, np.ndarray)
-        )
+        every = tuple(id(a) for a in args if isinstance(a, np.ndarray))
         return every, every
-    from ..ir import nodes as N
-
-    written = tuple(
-        dict.fromkeys(id(plan.resolved_args[st.array.pos]) for st in trace.stores)
+    written, read = trace.access_positions()
+    return (
+        tuple(dict.fromkeys([id(args[p]) for p in written])),
+        tuple(dict.fromkeys([id(args[p]) for p in read])),
     )
-    read = tuple(
-        dict.fromkeys(
-            id(plan.resolved_args[node.array.pos])
-            for expr in trace.expressions()
-            for node in N.walk(expr)
-            if isinstance(node, N.Load)
-        )
-    )
-    return written, read
 
 
 def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     """Stage 4: account the dispatch, fire hooks, and hand the plan to
     the backend's narrowed ``execute`` entry point (with the launch
     policy's permanent-failure failover ladder around it)."""
-    from .. import faults
-
     backend = plan.backend
     if plan.is_reduce:
         backend.accounting.n_reduce += 1

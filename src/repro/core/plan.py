@@ -138,8 +138,7 @@ class LaunchPlan:
     written_ids: Optional[tuple] = None
     #: Storage ids this plan's kernel loads from, computed alongside
     #: ``written_ids`` — feeds the pre-execution access notification
-    #: (guards for sunk/DSE-optimized graph state) and the program IR's
-    #: def-use edges.
+    #: (guards for sunk/DSE-optimized graph state).
     read_ids: Optional[tuple] = None
     #: Memory-effects summary (:class:`repro.ir.effects.EffectsSummary`)
     #: computed lazily by :func:`repro.ir.effects.plan_effects` — affine

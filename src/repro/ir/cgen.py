@@ -67,7 +67,7 @@ from .nativecache import (
     record_decline,
 )
 from .shapes import Lattice, _static_identity
-from .vectorizer import IndexDomain
+from .vectorizer import IndexDomain, _fold
 
 __all__ = [
     "NativeLoweringError",
@@ -882,11 +882,7 @@ class NativeKernel:
         try:
             buf = frame.take(domain.shape, np.float64)
             self._call(domain, args, buf)
-            if op == "add":
-                return float(buf.sum())
-            if op == "min":
-                return float(buf.min())
-            return float(buf.max())
+            return _fold(buf, domain.shape, op)
         finally:
             frame.release()
 

@@ -32,7 +32,11 @@ by mechanism:
 * The **identity fast paths** (whole-array / sub-box views for
   ``x[i, j]``-shaped loads and stores) and the clamped-**gather** /
   masked-**scatter** general paths are shared with the vectorizer — the
-  runtime helpers below call the very same code.
+  runtime helpers below call the very same code.  Loads indexed by lane
+  axes in increasing order and int constants (``vals[i, k]``) are views
+  here too, where the vectorizer gathers a copy: the values are the
+  same, and every rung folds reduces over a contiguous copy
+  (:func:`~repro.ir.vectorizer._fold`), so the bits are too.
 
 Arena-backed temporaries
 ------------------------
@@ -65,6 +69,7 @@ from .vectorizer import (
     _BOOL_FUNCS,
     _clamp_index,
     _CMP_FUNCS,
+    _fold,
     _gather,
     _UN_FUNCS,
     IndexDomain,
@@ -96,15 +101,86 @@ def _chk_array(args: Sequence[Any], pos: int) -> np.ndarray:
     return arr
 
 
-def _load_ident(arr: np.ndarray, dom: IndexDomain) -> np.ndarray:
-    """``x[i]`` / ``x[i, j]`` over (a chunk of) the domain — view fast
-    path, falling back to the clamped gather over the index grids."""
-    if len(arr.shape) == dom.ndim:
-        if dom.is_full_identity(arr.shape):
-            return arr
-        if all(hi <= s for (lo, hi), s in zip(dom.ranges, arr.shape)):
-            return arr[tuple(slice(lo, hi) for lo, hi in dom.ranges)]
-    return _gather(arr, dom.grids)
+class _Lane:
+    """Marks a lane axis in a :func:`_load_ident` index (``_L{axis}``
+    in generated source)."""
+
+    __slots__ = ("axis",)
+
+    def __init__(self, axis: int):
+        self.axis = axis
+
+    def __repr__(self) -> str:
+        return f"_L{self.axis}"
+
+
+_LANES = tuple(_Lane(ax) for ax in range(3))
+
+
+def _load_ident(
+    arr: np.ndarray, dom: IndexDomain, index: Optional[tuple] = None
+) -> np.ndarray:
+    """Load ``arr[index]`` over (a chunk of) the domain.
+
+    ``index`` holds one entry per array axis: a lane axis (``_L{axis}``,
+    in increasing order) or an int constant — ``vals[i, k]``,
+    ``a[k, i, j]``; ``None`` is the identity ``x[i, j, ...]``.  When
+    every lane's chunk range and every constant is in range, the load is
+    a basic-slice view (reshaped to the domain's broadcast shape when a
+    lane axis is missing); otherwise it falls back to the clamped gather
+    the vectorizer uses, so out-of-range lanes read the same values.
+    """
+    shape = arr.shape
+    if index is None:
+        if len(shape) == dom.ndim:
+            if dom.is_full_identity(shape):
+                return arr
+            if all(hi <= s for (lo, hi), s in zip(dom.ranges, shape)):
+                return arr[tuple(slice(lo, hi) for lo, hi in dom.ranges)]
+        return _gather(arr, dom.grids)
+    if len(shape) == len(index):
+        ranges = dom.ranges
+        key = []
+        for ix, s in zip(index, shape):
+            if ix.__class__ is int:
+                if not 0 <= ix < s:
+                    break
+                key.append(ix)
+            else:
+                lo, hi = ranges[ix.axis]
+                if hi > s:
+                    break
+                key.append(slice(lo, hi))
+        else:
+            view = arr[tuple(key)]
+            if 0 < view.ndim < len(ranges):
+                axes = {ix.axis for ix in index if ix.__class__ is not int}
+                view = view.reshape(
+                    tuple(n if ax in axes else 1 for ax, n in enumerate(dom.shape))
+                )
+            return view
+    return _gather(
+        arr,
+        tuple(
+            ix if ix.__class__ is int else dom.grids[ix.axis] for ix in index
+        ),
+    )
+
+
+def _lane_index(indices: Sequence[N.Node], ndim: int) -> Optional[tuple]:
+    """The :func:`_load_ident` index for a load whose indices are lane
+    axes in increasing order mixed with int constants, else ``None``."""
+    out = []
+    last = -1
+    for ix in indices:
+        if isinstance(ix, N.Index) and last < ix.axis < ndim:
+            last = ix.axis
+            out.append(_LANES[ix.axis])
+        elif isinstance(ix, N.Const) and type(ix.value) is int:
+            out.append(ix.value)
+        else:
+            return None
+    return tuple(out)
 
 
 def _store_ident(arr: np.ndarray, dom: IndexDomain, value: Any) -> None:
@@ -318,9 +394,9 @@ class _Lowering:
         rhs, deps = self._emit_inner(node)
         var = self._tmp()
         idx_tokens = None
-        if isinstance(node, N.Load) and not _static_identity(
+        if isinstance(node, N.Load) and _lane_index(
             node.indices, self.ndim
-        ):
+        ) is None:
             # Children already emitted: these calls only return names.
             idx_tokens = (
                 node.array.pos,
@@ -354,10 +430,13 @@ class _Lowering:
     def _emit_inner(self, node: N.Node) -> tuple[str, frozenset[int]]:
         if isinstance(node, N.Load):
             arr = self._array_ref(node.array.pos)
+            pos = frozenset({node.array.pos})
             if _static_identity(node.indices, self.ndim):
-                return f"_load_ident({arr}, _dom)", frozenset(
-                    {node.array.pos}
-                )
+                return f"_load_ident({arr}, _dom)", pos
+            index = _lane_index(node.indices, self.ndim)
+            if index is not None:
+                spec = ", ".join(map(repr, index))
+                return f"_load_ident({arr}, _dom, ({spec},))", pos
             idx = ", ".join(self.emit(ix) for ix in node.indices)
             deps = self._deps_of(*node.indices) | {node.array.pos}
             return f"_gather({arr}, ({idx},))", deps
@@ -497,6 +576,7 @@ def _program_globals() -> dict:
         "_np": np,
         "_gather": _gather,
         "_load_ident": _load_ident,
+        **{repr(lane): lane for lane in _LANES},
         "_store_ident": _store_ident,
         "_ident_view": _ident_view,
         "_store_guarded_ident": _store_guarded_ident,
@@ -628,17 +708,7 @@ class CodegenProgram:
         # recycle the buffer mid-reduction.
         frame = _resolve_arena(arena).frame()
         try:
-            values = self._fn(args, domain, frame.take)
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != domain.shape:
-                values = np.broadcast_to(values, domain.shape)
-            if op == "add":
-                return float(values.sum())
-            if op == "min":
-                return float(values.min())
-            if op == "max":
-                return float(values.max())
-            raise KernelExecutionError(f"unsupported reduction op {op!r}")
+            return _fold(self._fn(args, domain, frame.take), domain.shape, op)
         finally:
             frame.release()
 
@@ -808,17 +878,7 @@ class HoistedProgram:
                     f"unsupported reduction op {op!r}"
                 ) from None
         pre, bufs = self._pre_for(domain, args)
-        values = self._fn(args, domain, bufs, pre)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != domain.shape:
-            values = np.broadcast_to(values, domain.shape)
-        if op == "add":
-            return float(values.sum())
-        if op == "min":
-            return float(values.min())
-        if op == "max":
-            return float(values.max())
-        raise KernelExecutionError(f"unsupported reduction op {op!r}")
+        return _fold(self._fn(args, domain, bufs, pre), domain.shape, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

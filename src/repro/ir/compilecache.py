@@ -51,6 +51,7 @@ recompiling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import marshal
 import os
@@ -374,13 +375,50 @@ def _fn_fingerprint(fn: Callable) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The ``repro.ir`` modules whose output the payloads carry — trace IR,
+#: verifier diagnostics, generated NumPy/C source and the runtime
+#: helpers that source calls, graph-pass artifacts.  Their source text
+#: is folded into every key (:func:`_lowering_digest`), so an edited
+#: lowering can never serve code generated by the old one.
+_LOWERING_MODULES = (
+    "nodes",
+    "tracer",
+    "optimize",
+    "verify",
+    "diagnostics",
+    "shapes",
+    "vectorizer",
+    "codegen",
+    "cgen",
+    "fuse",
+    "deadstore",
+    "program",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _lowering_digest(root: Path = Path(__file__).parent) -> str:
+    """SHA-256 over the :data:`_LOWERING_MODULES` sources under ``root``
+    (read once per process)."""
+    h = hashlib.sha256()
+    for name in _LOWERING_MODULES:
+        h.update(name.encode() + b"\0")
+        try:
+            h.update((root / f"{name}.py").read_bytes())
+        except OSError:  # source-less install: the version still keys
+            h.update(b"?")
+    return h.hexdigest()
+
+
 def _env_tag() -> tuple:
     """Versions every key hash folds in: a bump of any of them makes all
     prior entries structurally unreachable (silent miss + rebuild).
 
     The interpreter's ``cache_tag`` (the ``.pyc`` compatibility key)
     gates the marshaled bytecode the payloads carry — a different
-    CPython build must rebuild rather than load foreign bytecode."""
+    CPython build must rebuild rather than load foreign bytecode.  The
+    lowering digest catches changed code generation that no version
+    bump announced."""
     from .. import __version__ as repro_version
 
     return (
@@ -388,6 +426,7 @@ def _env_tag() -> tuple:
         repro_version,
         np.__version__,
         sys.implementation.cache_tag,
+        _lowering_digest(),
     )
 
 
@@ -630,12 +669,10 @@ def _verify_entries(ck) -> list:
 def kernel_payload(ck, rung: str, meta: Optional[dict] = None) -> dict:
     """The serializable form of one :class:`CompiledKernel`."""
     if ck.trace is not None:
-        # Populate the trace's memoized load-analysis before pickling:
-        # the memo slot travels with the trace, so warm graph passes
-        # skip the walk entirely.
-        from .deadstore import loaded_positions
-
-        loaded_positions(ck.trace)
+        # Populate the trace's memoized access analysis before pickling:
+        # the memo slot travels with the trace, so warm launches and
+        # graph passes skip the walk entirely.
+        ck.trace.access_positions()
     return {
         "env": _env_tag(),
         "kind": "kernel",

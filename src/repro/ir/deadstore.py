@@ -83,20 +83,11 @@ def _loads_in(roots: Iterable[N.Node]) -> set[int]:
     return out
 
 
-def loaded_positions(trace: N.Trace) -> frozenset[int]:
+def loaded_positions(trace: N.Trace) -> tuple[int, ...]:
     """Array argument positions this trace loads from (anywhere: store
-    indices, values, guards, and the result expression).
-
-    The walk is linear in trace size but runs per graph pass per node,
-    so the result is memoized on the trace itself — and, because the
-    memo slot pickles with the trace, a kernel rebuilt from the
-    persistent compile cache inherits the analysis for free.
-    """
-    memo = getattr(trace, "_loaded_memo", None)
-    if memo is None:
-        memo = frozenset(_loads_in(trace.expressions()))
-        trace._loaded_memo = memo
-    return memo
+    indices, values, guards, and the result expression) — memoized on
+    the trace, see :meth:`~repro.ir.nodes.Trace.access_positions`."""
+    return trace.access_positions()[1]
 
 
 def _store_roots(st: N.Store) -> list[N.Node]:

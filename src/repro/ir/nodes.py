@@ -357,10 +357,10 @@ class Trace:
         "n_paths",
         "shape_dependent",
         "implicit_return_paths",
-        # Memoized deadstore.loaded_positions result.  Left unset until
-        # first computed; pickles with the trace, so persistent-cache
-        # entries carry the analysis across processes.
-        "_loaded_memo",
+        # Memoized access_positions result.  Left unset until first
+        # computed; pickles with the trace, so persistent-cache entries
+        # carry the analysis across processes.
+        "_access_memo",
     )
 
     def __init__(
@@ -399,6 +399,29 @@ class Trace:
                 yield st.condition
         if self.result is not None:
             yield self.result
+
+    def access_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(written, read)``: the array argument positions the trace
+        stores to, and loads from anywhere (store indices, values,
+        guards and the result), each in first-seen order.
+
+        A trace never changes once built, so the IR walk runs once per
+        trace and the answer is memoized on it; every later launch of
+        the kernel only maps positions to its arguments.
+        """
+        memo = getattr(self, "_access_memo", None)
+        if memo is None:
+            written = tuple(dict.fromkeys(st.array.pos for st in self.stores))
+            read = tuple(
+                dict.fromkeys(
+                    node.array.pos
+                    for expr in self.expressions()
+                    for node in walk(expr)
+                    if isinstance(node, Load)
+                )
+            )
+            memo = self._access_memo = (written, read)
+        return memo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lines = [f"Trace(ndim={self.ndim}, paths={self.n_paths})"]

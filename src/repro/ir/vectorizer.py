@@ -450,12 +450,26 @@ def reduce_trace(
     ev = VectorEvaluator(domain, args)
     for store in trace.stores:
         ev.run_store(store)
-    values = ev.eval(trace.result)
-    values = np.broadcast_to(np.asarray(values, dtype=np.float64), domain.shape)
+    return _fold(ev.eval(trace.result), domain.shape, op)
+
+
+def _fold(values: Any, shape: tuple[int, ...], op: str) -> float:
+    """Fold per-lane reduce values with ``op`` — every rung's fold.
+
+    The values are first made a C-contiguous float64 array of the domain
+    shape: NumPy's pairwise sum groups terms by memory layout, so a
+    strided view (``a[i, 1, j]`` loaded as a slice) and its gathered copy
+    can sum to different bits.  One layout keeps the rungs identical;
+    the copy is free when the values are already contiguous.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
+    values = np.ascontiguousarray(values)
     if op == "add":
-        return float(np.sum(values))
+        return float(values.sum())
     if op == "min":
-        return float(np.min(values))
+        return float(values.min())
     if op == "max":
-        return float(np.max(values))
+        return float(values.max())
     raise KernelExecutionError(f"unsupported reduction op {op!r}")

@@ -782,7 +782,9 @@ def _args_env(args: Sequence[Any]) -> tuple[dict, dict]:
     scalars: dict[int, Any] = {}
     for pos, a in enumerate(args):
         if isinstance(a, np.ndarray):
-            shapes[pos] = tuple(a.shape)
+            shapes[pos] = a.shape
+        elif a.__class__ is float or a.__class__ is int:
+            scalars[pos] = a  # the common scalars, before the ABC check
         elif isinstance(a, np.generic):
             scalars[pos] = a.item()
         elif isinstance(a, numbers.Real):
@@ -798,8 +800,8 @@ def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
     that never reaches an index or guard does not force re-verification
     every iteration of a solver loop.  Returns ``(diagnostics, fresh)``.
     """
-    name = getattr(kernel.fn, "__name__", repr(kernel.fn))
     if kernel.trace is None:
+        name = getattr(kernel.fn, "__name__", repr(kernel.fn))
         diags = (
             Diagnostic(
                 rule="V901",
@@ -814,7 +816,8 @@ def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
         )
         return diags, False
     shapes, scalars = _args_env(args)
-    base = (tuple(dims), tuple(sorted(shapes.items())), op)
+    # ``shapes`` is filled in position order, so its items are sorted.
+    base = (tuple(dims), tuple(shapes.items()), op)
     cache = getattr(kernel, "_verify_cache", None)
     if cache is None:
         cache = []
@@ -844,6 +847,7 @@ def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
     from . import compilecache
 
     compilecache.record_verify_run()
+    name = getattr(kernel.fn, "__name__", repr(kernel.fn))
     found, used = verify_trace(
         kernel.trace,
         dims=tuple(dims),

@@ -517,6 +517,217 @@ class TestCodegenProgram:
 
 
 # ---------------------------------------------------------------------------
+# Lane/constant-indexed loads: basic-slice views with a clamped fallback
+# ---------------------------------------------------------------------------
+
+
+def _lc_row(i, a, y):
+    y[i] = a[i, 2] * 2.0
+
+
+def _lc_row_neg(i, a, y):
+    y[i] = a[i, -1] + 1.0  # clamps to column 0, unlike Python's a[-1]
+
+
+def _lc_row_oob(i, a, y):
+    y[i] = a[i, 7] + 1.0  # column 7 of a 4-column array: clamped gather
+
+
+def _lc_short(i, a, y):
+    y[i] = a[i, 0] + 1.0  # a has fewer rows than the domain
+
+
+def _lc_const_only(i, a, y):
+    y[i] = a[1, 3] + a[i, 0]
+
+
+def _lc_missing_lane(i, j, x, c, y):
+    y[i, j] = x[j] * 2.0 + c[i, 3]
+
+
+def _lc_transpose(i, j, a, y):
+    y[i, j] = a[j, i] + a[i, i]  # not increasing: gathers
+
+
+def _lc_3d(i, j, k, a, y):
+    y[i, j, k] = a[i, j, 2] - a[1, j, k]
+
+
+def _lc_load_then_store(i, a, y):
+    a[i, 0] = a[i, 1] * 2.0
+    y[i] = a[i, 0] + a[i, 1]
+
+
+def _lc_overlap_2d(i, j, b, c):
+    # Racy (V102): lanes (i, j > 0) read what lane (i, 0) writes.  The
+    # vector rung defines it as evaluate-then-store; codegen keeps that
+    # although the view of column 0 overlaps the fused ``out=`` store
+    # (NumPy ufuncs copy overlapping inputs).
+    b[i, j] = b[i, 0] + c[i, j]
+
+
+def _lc_bare_reduce(i, j, a):
+    return a[i, 1, j]
+
+
+def _lc_reduce_missing_lane(i, j, x, c):
+    return x[j] * c[i, 2]
+
+
+_N = 37
+
+
+def _lc_case(name):
+    """``(kernel, dims, make_args)`` for one lane/constant load form;
+    ``make_args`` returns the same values on every call."""
+
+    def r(shape):
+        return _rng().standard_normal(shape)
+
+    n = _N
+    return {
+        "row": (_lc_row, (n,), lambda: [r((n, 4)), np.zeros(n)]),
+        "row_neg": (_lc_row_neg, (n,), lambda: [r((n, 4)), np.zeros(n)]),
+        "row_oob": (_lc_row_oob, (n,), lambda: [r((n, 4)), np.zeros(n)]),
+        "short": (_lc_short, (n,), lambda: [r((n - 5, 3)), np.zeros(n)]),
+        "const_only": (_lc_const_only, (n,), lambda: [r((n, 4)), np.zeros(n)]),
+        "missing_lane": (
+            _lc_missing_lane,
+            (n, 11),
+            lambda: [r(11), r((n, 4)), np.zeros((n, 11))],
+        ),
+        "transpose": (
+            _lc_transpose, (n, n), lambda: [r((n, n)), np.zeros((n, n))]
+        ),
+        "3d": (
+            _lc_3d,
+            (9, 5, 7),
+            lambda: [r((9, 5, 7)), np.zeros((9, 5, 7))],
+        ),
+        "load_then_store": (
+            _lc_load_then_store, (n,), lambda: [r((n, 2)), np.zeros(n)]
+        ),
+        "overlap_2d": (
+            _lc_overlap_2d, (n, 6), lambda: [r((n, 6)), r((n, 6)) + 1.0]
+        ),
+        # Scaled so a strided fold and a contiguous one round differently.
+        "bare_reduce": (
+            _lc_bare_reduce, (300, 301), lambda: [1000.0 * r((300, 3, 301))]
+        ),
+        "reduce_missing_lane": (
+            _lc_reduce_missing_lane, (n, 11), lambda: [r(11), r((n, 4))]
+        ),
+    }[name]
+
+
+_LC_REDUCE = {"bare_reduce", "reduce_missing_lane"}
+#: Racy forms: the native rung's per-lane loop promises nothing for them.
+_LC_RACY = {"overlap_2d"}
+
+#: The view-helper index each form lowers to (``transpose`` gathers).
+_LC_VIEWS = {
+    "row": "(_L0, 2,)",
+    "row_neg": "(_L0, -1,)",
+    "row_oob": "(_L0, 7,)",
+    "short": "(_L0, 0,)",
+    "const_only": "(1, 3,)",
+    "missing_lane": "(_L1,)",
+    "3d": "(_L0, _L1, 2,)",
+    "3d_lead": "(1, _L1, _L2,)",
+    "load_then_store": "(_L0, 1,)",
+    "overlap_2d": "(_L0, 0,)",
+    "bare_reduce": "(_L0, 1, _L1,)",
+    "reduce_missing_lane": "(_L0, 2,)",
+}
+
+class TestLaneConstLoads:
+    """Loads indexed by lane axes in increasing order and int constants
+    (``vals[i, k]``, ``a[k, i, j]``) run as basic-slice views on the
+    codegen rung; out-of-range indices fall back to the clamped gather.
+    Every form must be bit-identical to the vector rung and to the
+    native rung, over the full domain and over threads chunks whose
+    ``lo > 0``."""
+
+    NAMES = (*(k for k in _LC_VIEWS if k != "3d_lead"), "transpose")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_lowering_uses_view_helper(self, name):
+        fn, dims, make = _lc_case(name)
+        ck = compile_kernel(
+            fn, len(dims), make(), reduce=name in _LC_REDUCE, executor="codegen"
+        )
+        src = ck.codegen.source
+        if name in _LC_VIEWS:
+            assert f", _dom, {_LC_VIEWS[name]})" in src, src
+            if name == "3d":
+                assert f", _dom, {_LC_VIEWS['3d_lead']})" in src, src
+        else:
+            assert "_gather(" in src and ", _dom, (" not in src, src
+
+    @pytest.mark.parametrize("n_threads", [1, 3])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bit_identical_across_rungs(self, name, n_threads):
+        from repro.backends.threads import ThreadsBackend
+
+        fn, dims, make = _lc_case(name)
+        reduce = name in _LC_REDUCE
+        backend = ThreadsBackend(n_threads=n_threads, min_parallel_size=1)
+        out = {}
+        try:
+            for ex in ("vector", "codegen", "native"):
+                args = make()
+                ck = compile_kernel(
+                    fn, len(dims), args, reduce=reduce, executor=ex
+                )
+                if n_threads > 1:  # chunks start past zero
+                    plan = backend._plan_for("for", dims, ck, args)
+                    doms = backend.schedule(plan).domains
+                    assert max(d.ranges[0][0] for d in doms) > 0
+                if reduce:
+                    out[ex] = (args, backend.run_reduce(dims, ck, args))
+                else:
+                    backend.run_for(dims, ck, args)
+                    out[ex] = (args, None)
+        finally:
+            backend.close()
+        ref_args, ref_val = out["vector"]
+        for ex in ("codegen",) if name in _LC_RACY else ("codegen", "native"):
+            args, val = out[ex]
+            for a, b in zip(args, ref_args):
+                np.testing.assert_array_equal(a, b, err_msg=ex)
+            assert val == ref_val, (ex, val, ref_val)
+
+    @pytest.mark.parametrize("lo", [0, 4, 30])
+    def test_chunk_domain_reads_its_rows(self, lo):
+        a = _rng().standard_normal((_N, 4))
+        ck = compile_kernel(_lc_row, 1, [a, np.zeros(_N)], executor="codegen")
+        y = np.zeros(_N)
+        ck.codegen.run_for(IndexDomain([(lo, _N)]), [a, y])
+        want = np.zeros(_N)
+        want[lo:] = a[lo:, 2] * 2.0
+        np.testing.assert_array_equal(y, want)
+
+    def test_load_after_store_sees_the_store(self):
+        base = _rng().standard_normal((16, 2))
+        a, y = base.copy(), np.zeros(16)
+        ck = compile_kernel(_lc_load_then_store, 1, [a, y], executor="codegen")
+        ck.codegen.run_for(IndexDomain.full((16,)), [a, y])
+        np.testing.assert_array_equal(a[:, 0], base[:, 1] * 2.0)
+        np.testing.assert_array_equal(y, base[:, 1] * 2.0 + base[:, 1])
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_bare_load_reduce_through_constructs(self, backend):
+        fn, dims, make = _lc_case("bare_reduce")
+        (a,) = make()
+        values = {}
+        with repro.use_backend(backend):
+            for ex in ("vector", "codegen", "native"):
+                set_executor_mode(ex)
+                values[ex] = repro.parallel_reduce(dims, fn, a)
+        assert values["codegen"] == values["vector"] == values["native"], values
+
+
+# ---------------------------------------------------------------------------
 # Executor selection
 # ---------------------------------------------------------------------------
 

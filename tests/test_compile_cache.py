@@ -298,6 +298,29 @@ class TestInvalidation:
         assert st["disk_misses"] >= 1
         assert st["compiles"] == 1
 
+    def test_changed_lowering_source_changes_keys(
+        self, fresh_cache, tmp_path, monkeypatch
+    ):
+        # Payloads carry generated code, so an edited lowering module
+        # must miss even when no version moved.
+        ir_dir = Path(compilecache.__file__).parent
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        for d in (same, edited):
+            d.mkdir()
+            for name in compilecache._LOWERING_MODULES:
+                (d / f"{name}.py").write_bytes((ir_dir / f"{name}.py").read_bytes())
+        with open(edited / "codegen.py", "a") as fh:
+            fh.write("\n# a changed lowering\n")
+        assert compilecache._lowering_digest(same) == compilecache._lowering_digest()
+        changed = compilecache._lowering_digest(edited)
+        assert changed != compilecache._lowering_digest()
+
+        args = [0.5, np.ones(8), np.ones(8)]
+        before = compilecache.kernel_keys(axpy_kernel, 1, False, "codegen", args, None)
+        monkeypatch.setattr(compilecache, "_lowering_digest", lambda: changed)
+        after = compilecache.kernel_keys(axpy_kernel, 1, False, "codegen", args, None)
+        assert before.base != after.base and before.value != after.value
+
     def test_flipped_verify_mode_misses(self, fresh_cache):
         with verify_mode("warn"):
             _compile_axpy()

@@ -152,6 +152,140 @@ class TestProgramConstruction:
 
 
 # ---------------------------------------------------------------------------
+# Per-trace access positions (the eager launch's written/read ids)
+# ---------------------------------------------------------------------------
+
+
+def _app_cases():
+    """``(kernel, dims, args, reduce)`` for every app kernel family."""
+    from repro.apps import blas, cg as cg_app, hpccg
+    from repro.apps.lbm import CX, CY, WEIGHTS, lbm_kernel, speed_squared_kernel
+
+    r = np.random.default_rng(7)
+    n, m = 64, 12
+    lower, diag, upper, _ = tridiagonal_system(n)
+    ell, _, _ = build_27pt_problem(4, 4, 4)
+    f = 1.0 + 0.01 * r.standard_normal(9 * m * m)
+
+    def v(*shape):
+        return r.standard_normal(shape)
+
+    return {
+        "axpy1d": (blas.axpy_kernel_1d, (n,), [0.5, v(n), v(n)], False),
+        "dot1d": (blas.dot_kernel_1d, (n,), [v(n), v(n)], True),
+        "axpy2d": (blas.axpy_kernel_2d, (m, m), [0.5, v(m, m), v(m, m)], False),
+        "dot2d": (blas.dot_kernel_2d, (m, m), [v(m, m), v(m, m)], True),
+        "copy": (cg_app.copy_kernel, (n,), [v(n), np.zeros(n)], False),
+        "xpby": (cg_app.xpby_kernel, (n,), [0.9, v(n), v(n)], False),
+        "jacobi": (
+            cg_app.jacobi_apply_kernel, (n,), [1.0 / diag, v(n), np.zeros(n)], False
+        ),
+        "matvec": (
+            cg_app.matvec_tridiag_kernel,
+            (n,),
+            [lower, diag, upper, v(n), np.zeros(n), n],
+            False,
+        ),
+        "ell": (
+            hpccg.matvec_ell_kernel,
+            (ell.n,),
+            [ell.cols, ell.vals, v(ell.n), np.zeros(ell.n)],
+            False,
+        ),
+        "lbm": (
+            lbm_kernel,
+            (m, m),
+            [f.copy(), f.copy(), f.copy(), 0.8, WEIGHTS, CX, CY, m],
+            False,
+        ),
+        "lbm_speed": (speed_squared_kernel, (m, m), [f, CX, CY, m], True),
+    }
+
+
+def _staged(fn, dims, args, reduce):
+    from repro.core.api import _stage
+
+    plan, _ = _stage("reduce" if reduce else "for", dims, fn, tuple(args), "add")
+    return plan
+
+
+def _shape_switch(i, a, b, y):
+    if a.shape[0] > 8:
+        y[i] = a[i]
+    else:
+        y[i] = b[i]
+
+
+class TestAccessPositions:
+    @pytest.mark.parametrize("name", list(_app_cases()))
+    def test_ids_match_effects_summary(self, name):
+        from repro.core.api import plan_access_ids
+        from repro.ir.effects import snapshot_effects
+
+        fn, dims, args, reduce = _app_cases()[name]
+        plan = _staged(fn, dims, args, reduce)
+        written, read = plan_access_ids(plan)
+        eff = snapshot_effects(plan)
+        assert set(written) == eff.write_ids
+        assert set(read) == eff.read_ids
+        assert len(written) == len(set(written))
+        assert len(read) == len(set(read))
+        # Memoized on the trace: the same tuple object on every call.
+        trace = plan.kernel.trace
+        assert trace.access_positions() is trace.access_positions()
+
+    def test_aliased_argument_counts_once(self):
+        from repro.apps.cg import xpby_kernel
+        from repro.core.api import plan_access_ids
+
+        a = np.ones(16)
+        plan = _staged(xpby_kernel, (16,), [0.5, a, a], False)
+        written, read = plan.kernel.trace.access_positions()
+        assert written == (2,) and sorted(read) == [1, 2]
+        assert plan_access_ids(plan) == ((id(a),), (id(a),))
+
+    @pytest.mark.filterwarnings("ignore:.*V402")  # each shape skips one array
+    def test_shape_specialized_traces_keep_their_own_positions(self):
+        from repro.core.api import plan_access_ids
+
+        big, small = np.ones(16), np.ones(4)
+        b16, b4, y16, y4 = np.ones(16), np.ones(4), np.zeros(16), np.zeros(4)
+        p_big = _staged(_shape_switch, (16,), [big, b16, y16], False)
+        p_small = _staged(_shape_switch, (4,), [small, b4, y4], False)
+        assert p_big.kernel.trace is not p_small.kernel.trace
+        assert plan_access_ids(p_big) == ((id(y16),), (id(big),))
+        assert plan_access_ids(p_small) == ((id(y4),), (id(b4),))
+        # Launch the big shape again: still its own positions.
+        p_again = _staged(_shape_switch, (16,), [big, b16, y16], False)
+        assert plan_access_ids(p_again) == ((id(y16),), (id(big),))
+
+    def test_ir_walk_runs_once_per_trace(self, monkeypatch):
+        from repro.ir import nodes as N
+
+        fn, dims, args, _ = _app_cases()["ell"]
+        parallel_for(dims, fn, *args)  # compile, and the first launch
+        calls = []
+        real_walk = N.walk
+
+        def counting_walk(node):
+            calls.append(node)
+            return real_walk(node)
+
+        monkeypatch.setattr(N, "walk", counting_walk)
+        for _ in range(5):
+            parallel_for(dims, fn, *args)
+        assert calls == []
+        # A fresh trace walks once, on its first query only.
+        fresh_trace = _staged(fn, dims, args, False).kernel.trace
+        fresh_trace._access_memo = None
+        fresh_trace.access_positions()
+        walked = len(calls)
+        assert walked > 0
+        fresh_trace.access_positions()
+        assert len(calls) == walked
+
+
+# ---------------------------------------------------------------------------
 # Global (non-adjacent) fusion
 # ---------------------------------------------------------------------------
 
