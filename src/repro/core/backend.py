@@ -77,17 +77,6 @@ def normalize_dims(dims) -> tuple[int, ...]:
     tuple.  Anything else raises :class:`ValueError` here rather than
     deep inside a backend.
     """
-    # Fast path for what nearly every launch passes: a positive int, or
-    # a 1..3-tuple of them.
-    if dims.__class__ is int:
-        if dims > 0:
-            return (dims,)
-    elif (
-        dims.__class__ is tuple
-        and 1 <= len(dims) <= 3
-        and all(d.__class__ is int and d > 0 for d in dims)
-    ):
-        return dims
     if isinstance(dims, (int, np.integer)) and not isinstance(
         dims, (bool, np.bool_)
     ):

@@ -115,30 +115,26 @@ class _Lane:
 
 
 _LANES = tuple(_Lane(ax) for ax in range(3))
+#: The identity index ``(_L0, ..., _L{n-1})`` per array rank ``n``.
+_IDENTITY = tuple(_LANES[:n] for n in range(4))
 
 
-def _load_ident(
-    arr: np.ndarray, dom: IndexDomain, index: Optional[tuple] = None
-) -> np.ndarray:
+def _load_ident(arr: np.ndarray, dom: IndexDomain, index: tuple) -> np.ndarray:
     """Load ``arr[index]`` over (a chunk of) the domain.
 
     ``index`` holds one entry per array axis: a lane axis (``_L{axis}``,
-    in increasing order) or an int constant — ``vals[i, k]``,
-    ``a[k, i, j]``; ``None`` is the identity ``x[i, j, ...]``.  When
-    every lane's chunk range and every constant is in range, the load is
-    a basic-slice view (reshaped to the domain's broadcast shape when a
-    lane axis is missing); otherwise it falls back to the clamped gather
-    the vectorizer uses, so out-of-range lanes read the same values.
+    in increasing order) or an int constant — ``x[i, j]``,
+    ``vals[i, k]``, ``a[k, i, j]``.  When every lane's chunk range and
+    every constant is in range, the load is the array itself (identity
+    over the whole array) or a basic-slice view (reshaped to the
+    domain's broadcast shape when a lane axis is missing); otherwise it
+    falls back to the clamped gather the vectorizer uses, so
+    out-of-range lanes read the same values.
     """
     shape = arr.shape
-    if index is None:
-        if len(shape) == dom.ndim:
-            if dom.is_full_identity(shape):
-                return arr
-            if all(hi <= s for (lo, hi), s in zip(dom.ranges, shape)):
-                return arr[tuple(slice(lo, hi) for lo, hi in dom.ranges)]
-        return _gather(arr, dom.grids)
     if len(shape) == len(index):
+        if dom.is_full_identity(shape) and index == _IDENTITY[len(shape)]:
+            return arr
         ranges = dom.ranges
         key = []
         for ix, s in zip(index, shape):
@@ -431,8 +427,6 @@ class _Lowering:
         if isinstance(node, N.Load):
             arr = self._array_ref(node.array.pos)
             pos = frozenset({node.array.pos})
-            if _static_identity(node.indices, self.ndim):
-                return f"_load_ident({arr}, _dom)", pos
             index = _lane_index(node.indices, self.ndim)
             if index is not None:
                 spec = ", ".join(map(repr, index))

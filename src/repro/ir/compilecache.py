@@ -375,38 +375,19 @@ def _fn_fingerprint(fn: Callable) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: The ``repro.ir`` modules whose output the payloads carry — trace IR,
-#: verifier diagnostics, generated NumPy/C source and the runtime
-#: helpers that source calls, graph-pass artifacts.  Their source text
-#: is folded into every key (:func:`_lowering_digest`), so an edited
-#: lowering can never serve code generated by the old one.
-_LOWERING_MODULES = (
-    "nodes",
-    "tracer",
-    "optimize",
-    "verify",
-    "diagnostics",
-    "shapes",
-    "vectorizer",
-    "codegen",
-    "cgen",
-    "fuse",
-    "deadstore",
-    "program",
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _lowering_digest(root: Path = Path(__file__).parent) -> str:
-    """SHA-256 over the :data:`_LOWERING_MODULES` sources under ``root``
-    (read once per process)."""
+    """SHA-256 over every ``repro.ir`` module source under ``root`` (read
+    once per process).
+
+    The payloads carry what those modules produce — trace IR, verifier
+    diagnostics and stats, generated NumPy/C source and the helpers it
+    calls, graph-pass artifacts and validation certificates — so an
+    edited module can never serve output of the old one.
+    """
     h = hashlib.sha256()
-    for name in _LOWERING_MODULES:
-        h.update(name.encode() + b"\0")
-        try:
-            h.update((root / f"{name}.py").read_bytes())
-        except OSError:  # source-less install: the version still keys
-            h.update(b"?")
+    for path in sorted(root.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -301,19 +302,23 @@ class TestInvalidation:
     def test_changed_lowering_source_changes_keys(
         self, fresh_cache, tmp_path, monkeypatch
     ):
-        # Payloads carry generated code, so an edited lowering module
-        # must miss even when no version moved.
+        # Payloads carry generated code, stats and certificates, so an
+        # edited repro.ir module must miss even when no version moved.
         ir_dir = Path(compilecache.__file__).parent
-        same, edited = tmp_path / "same", tmp_path / "edited"
-        for d in (same, edited):
-            d.mkdir()
-            for name in compilecache._LOWERING_MODULES:
-                (d / f"{name}.py").write_bytes((ir_dir / f"{name}.py").read_bytes())
-        with open(edited / "codegen.py", "a") as fh:
-            fh.write("\n# a changed lowering\n")
+        same = tmp_path / "same"
+        same.mkdir()
+        for src in ir_dir.glob("*.py"):
+            (same / src.name).write_bytes(src.read_bytes())
         assert compilecache._lowering_digest(same) == compilecache._lowering_digest()
-        changed = compilecache._lowering_digest(edited)
-        assert changed != compilecache._lowering_digest()
+        digests = set()
+        for name in ("codegen.py", "stats.py"):
+            edited = tmp_path / name
+            shutil.copytree(same, edited)
+            with open(edited / name, "a") as fh:
+                fh.write("\n# a changed lowering\n")
+            digests.add(compilecache._lowering_digest(edited))
+        assert len(digests) == 2 and compilecache._lowering_digest() not in digests
+        changed = digests.pop()
 
         args = [0.5, np.ones(8), np.ones(8)]
         before = compilecache.kernel_keys(axpy_kernel, 1, False, "codegen", args, None)
